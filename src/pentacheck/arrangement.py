@@ -30,7 +30,7 @@ re-verified during construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .field import AlgebraicNumber, solve_linear, galois_group
@@ -79,7 +79,7 @@ class ProjPoint:
         return isinstance(other, ProjPoint) and self.coords == other.coords
 
     def __hash__(self):
-        return hash(tuple(c.coords for c in self.coords))
+        return hash(self.coords)
 
     def __repr__(self):
         return f"ProjPoint({', '.join(str(c) for c in self.coords)})"
@@ -134,7 +134,7 @@ class ProjLine:
         return isinstance(other, ProjLine) and self.coords == other.coords
 
     def __hash__(self):
-        return hash(tuple(c.coords for c in self.coords))
+        return hash(self.coords)
 
     def __repr__(self):
         return f"ProjLine({', '.join(str(c) for c in self.coords)})"
@@ -176,11 +176,11 @@ class LatticePoint:
         return len(self.incident)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Arrangement:
     variant: str
-    lines: list  # list of (label, ProjLine), order fixed
-    lattice: list = dc_field(default_factory=list)  # LatticePoints
+    lines: tuple  # (label, ProjLine) pairs, order fixed
+    lattice: tuple  # LatticePoints
 
     def line(self, label: str) -> ProjLine:
         for lab, l in self.lines:
@@ -200,12 +200,6 @@ class Arrangement:
 
     def points_at_infinity(self):
         return [p for p in self.lattice if not p.point.is_affine]
-
-    def point_labeled(self, label: str) -> LatticePoint:
-        for p in self.lattice:
-            if p.label == label:
-                return p
-        raise KeyError(f"no lattice point labeled {label!r}")
 
     def to_json(self) -> dict:
         return {
@@ -232,7 +226,7 @@ def _unit_circle_point(k: int) -> ProjPoint:
     """The point at angle 72k degrees, coordinates in Q(alpha)."""
     alpha = AlgebraicNumber.alpha()
     s5 = AlgebraicNumber.sqrt5()
-    beta = (alpha * alpha - 10) * alpha.inverse() * 2  # sqrt(10 - 2 sqrt 5)
+    beta = AlgebraicNumber.beta()
     quarter = Fraction(1, 4)
     cos72 = (s5 - 1) * quarter
     sin72 = alpha * quarter
@@ -275,28 +269,44 @@ def _compute_lattice(lines) -> list:
     return [LatticePoint(p, inc) for p, inc in seen.items()]
 
 
-def _attach_labels(lattice, named_points) -> list:
+def _attach_labels(lattice, named_points) -> tuple:
     by_point = {}
     for name, p in named_points.items():
         by_point.setdefault(p, name)
-    out = []
-    for lp in lattice:
-        label = by_point.get(lp.point)
-        out.append(LatticePoint(lp.point, lp.incident, label))
-    return out
+    return tuple(
+        LatticePoint(lp.point, lp.incident, by_point.get(lp.point))
+        for lp in lattice
+    )
 
 
 VARIANTS = ("C", "CPRIME", "APRIME", "RATIONAL10")
 
+_ARRANGEMENT_CACHE: dict = {}
+
 
 def build_arrangement(variant: str) -> Arrangement:
+    """The named arrangement, built and validated once per process.
+
+    Arrangements are immutable, so every call for a variant returns the
+    same object.
+    """
     variant = variant.upper()
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; choose from {VARIANTS}")
-    if variant == "C":
-        return _build_variant_c()
-    if variant in ("CPRIME", "RATIONAL10"):
-        return _build_equivariant(variant)
+    arr = _ARRANGEMENT_CACHE.get(variant)
+    if arr is None:
+        if variant == "C":
+            arr = _build_variant_c()
+        elif variant == "APRIME":
+            arr = _build_aprime()
+        else:
+            arr = _build_equivariant(variant)
+        _ARRANGEMENT_CACHE[variant] = arr
+    return arr
+
+
+def _build_aprime() -> Arrangement:
+    """The 10-line arrangement A' on the regular pentagon, labels validated."""
     pts = build_pentagon_points()
     I, A, B, C, D = pts["I"], pts["A"], pts["B"], pts["C"], pts["D"]
     lines = [
@@ -330,7 +340,7 @@ def build_arrangement(variant: str) -> Arrangement:
     named["R2"] = intersect(by["CI"], by["HE"])
     named["R_inf"] = intersect(by["AD"], by["HE"])
     lattice = _attach_labels(_compute_lattice(lines), named)
-    arr = Arrangement(variant, lines, lattice)
+    arr = Arrangement("APRIME", tuple(lines), lattice)
     _validate_labeling(arr)
     return arr
 
@@ -338,7 +348,7 @@ def build_arrangement(variant: str) -> Arrangement:
 def _descent_sigma():
     """The order-4 automorphism with sigma(alpha) = -beta."""
     alpha = AlgebraicNumber.alpha()
-    beta = (alpha * alpha - 10) * alpha.inverse() * 2
+    beta = AlgebraicNumber.beta()
     for g in galois_group():
         if g.apply(alpha) == -beta:
             return g
@@ -348,7 +358,7 @@ def _descent_sigma():
 def _build_equivariant(variant: str) -> Arrangement:
     """The 9-line arrangement in its Galois-stable projective position."""
     alpha = AlgebraicNumber.alpha()
-    beta = (alpha * alpha - 10) * alpha.inverse() * 2
+    beta = AlgebraicNumber.beta()
     sigma = _descent_sigma()
     m_a = alpha + beta
     m_c = sigma.apply(m_a)
@@ -394,7 +404,7 @@ def _build_equivariant(variant: str) -> Arrangement:
     if variant == "RATIONAL10":
         lines.append(("JK", line_through(named["J"], named["K"])))
     lattice = _attach_labels(_compute_lattice(lines), named)
-    arr = Arrangement(variant, lines, lattice)
+    arr = Arrangement(variant, tuple(lines), lattice)
     _validate_equivariant(arr, variant)
     return arr
 
@@ -454,7 +464,7 @@ def _build_variant_c():
         "K": intersect(by["EG"], by["FH"]),
     }
     lattice = _attach_labels(_compute_lattice(lines), named)
-    return Arrangement("C", lines, lattice)
+    return Arrangement("C", tuple(lines), lattice)
 
 
 # -- per-line and pencil queries --------------------------------------

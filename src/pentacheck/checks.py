@@ -140,7 +140,7 @@ def _field_conjugates(ctx):
         val = nfield.eval_poly(mp, im)
         if val:
             ok = False
-    if len({tuple(i.coords) for i in images}) != 4:
+    if len(set(images)) != 4:
         ok = False
     return ok, {"images_of_alpha": [i.to_json() for i in images]}
 

@@ -32,6 +32,16 @@ def _write_report(path: str, text: str) -> None:
         fh.write(text)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pentacheck",
@@ -46,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--report", help="write the JSON report to this path")
     verify.add_argument(
         "--truncation",
-        type=int,
+        type=_positive_int,
         default=DEFAULT_TRUNCATION,
         help=f"series truncation order (default {DEFAULT_TRUNCATION})",
     )

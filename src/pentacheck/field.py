@@ -1,16 +1,23 @@
 """Exact arithmetic in the real quartic field Q(alpha), alpha = sqrt(10+2*sqrt(5)).
 
-Elements are stored as rational coordinate vectors in the power basis
-{1, alpha, alpha^2, alpha^3}.  The minimal polynomial x^4 - 20x^2 + 80 is
-hard-wired (and re-derived by minimal_polynomial in the test suite).  The
-distinguished real embedding sends alpha to the positive root in [3.8, 3.9];
-real_value produces certified rational intervals for it.
+An element c0 + c1*alpha + c2*alpha^2 + c3*alpha^3 is stored as four integer
+numerators over one positive integer denominator, kept in lowest terms (the
+gcd of the numerators and the denominator is 1), so equality and hashing
+compare integers.  Multiplication reduces by alpha^4 = 20*alpha^2 - 80, the
+minimal polynomial x^4 - 20x^2 + 80 (re-derived by minimal_polynomial in the
+test suite).  Q(alpha)/Q is cyclic of degree 4, so the inverse is the product
+of the three nontrivial conjugates divided by the norm; each automorphism acts
+as a precomputed integer 4x4 matrix over a common denominator.  The rational
+coordinates are available as `coords` for serialization and the real
+embedding, which sends alpha to the positive root in [3.8, 3.9]; real_value
+produces certified rational intervals for it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 Rational = Fraction
@@ -27,18 +34,80 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"cannot coerce {x!r} to a rational")
 
 
-class AlgebraicNumber:
-    """An element c0 + c1*alpha + c2*alpha^2 + c3*alpha^3 with rational ci."""
+def _make(num: tuple, den: int) -> "AlgebraicNumber":
+    """Wrap numerators and a denominator that are already in lowest terms."""
+    x = object.__new__(AlgebraicNumber)
+    x.num = num
+    x.den = den
+    return x
 
-    __slots__ = ("coords",)
+
+def _reduced(n0: int, n1: int, n2: int, n3: int, den: int) -> "AlgebraicNumber":
+    """Lowest terms with a positive denominator; den must be nonzero."""
+    g = gcd(n0, n1, n2, n3, den)
+    if den < 0:
+        g = -g
+    if g != 1:
+        n0 //= g
+        n1 //= g
+        n2 //= g
+        n3 //= g
+        den //= g
+    return _make((n0, n1, n2, n3), den)
+
+
+def _coerce(other):
+    if isinstance(other, AlgebraicNumber):
+        return other
+    if isinstance(other, int):
+        return _make((other, 0, 0, 0), 1)
+    if isinstance(other, Fraction):
+        return _make((other.numerator, 0, 0, 0), other.denominator)
+    return None
+
+
+def _mul(a: "AlgebraicNumber", b: "AlgebraicNumber") -> "AlgebraicNumber":
+    a0, a1, a2, a3 = a.num
+    b0, b1, b2, b3 = b.num
+    p4 = a1 * b3 + a2 * b2 + a3 * b1
+    p5 = a2 * b3 + a3 * b2
+    p6 = a3 * b3
+    # alpha^4 = 20 alpha^2 - 80, alpha^5 = 20 alpha^3 - 80 alpha,
+    # alpha^6 = 320 alpha^2 - 1600
+    return _reduced(
+        a0 * b0 - 80 * p4 - 1600 * p6,
+        a0 * b1 + a1 * b0 - 80 * p5,
+        a0 * b2 + a1 * b1 + a2 * b0 + 20 * p4 + 320 * p6,
+        a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0 + 20 * p5,
+        a.den * b.den,
+    )
+
+
+def _apply_matrix(matrix, a: "AlgebraicNumber") -> "AlgebraicNumber":
+    """Image of a under the linear map (rows, den) in the power basis."""
+    rows, den = matrix
+    a0, a1, a2, a3 = a.num
+    return _reduced(
+        *[m0 * a0 + m1 * a1 + m2 * a2 + m3 * a3 for m0, m1, m2, m3 in rows],
+        den * a.den,
+    )
+
+
+class AlgebraicNumber:
+    """An element c0 + c1*alpha + c2*alpha^2 + c3*alpha^3 with rational ci.
+
+    `num` holds the four integer numerators and `den` the positive common
+    denominator, in lowest terms.  Instances are immutable by convention.
+    """
+
+    __slots__ = ("num", "den")
 
     def __init__(self, c0=0, c1=0, c2=0, c3=0):
-        self.coords = (
-            _as_fraction(c0),
-            _as_fraction(c1),
-            _as_fraction(c2),
-            _as_fraction(c3),
-        )
+        cs = [_as_fraction(c) for c in (c0, c1, c2, c3)]
+        # over the lcm of lowest-terms denominators no common factor remains
+        den = lcm(*(c.denominator for c in cs))
+        self.num = tuple(c.numerator * (den // c.denominator) for c in cs)
+        self.den = den
 
     # -- constructors -------------------------------------------------
 
@@ -56,103 +125,108 @@ class AlgebraicNumber:
         return cls(Fraction(-5), 0, Fraction(1, 2), 0)
 
     @classmethod
+    def beta(cls) -> "AlgebraicNumber":
+        """sqrt(10 - 2*sqrt(5)) = 2*(alpha^2 - 10)/alpha = (alpha^3 - 12*alpha)/4.
+
+        alpha*beta = sqrt(80) = 4*sqrt(5); galois_group verifies that beta
+        is a root of the minimal polynomial.
+        """
+        return cls(0, -3, 0, Fraction(1, 4))
+
+    @classmethod
     def from_coords(cls, coords: Sequence) -> "AlgebraicNumber":
         if len(coords) != 4:
             raise ValueError("need exactly 4 coordinates")
         return cls(*coords)
 
+    @property
+    def coords(self) -> tuple:
+        """The four rational coordinates in the power basis, reduced."""
+        d = self.den
+        return tuple(Fraction(n, d) for n in self.num)
+
     # -- predicates ---------------------------------------------------
 
     @property
     def is_rational(self) -> bool:
-        return self.coords[1] == 0 and self.coords[2] == 0 and self.coords[3] == 0
+        _, n1, n2, n3 = self.num
+        return not (n1 or n2 or n3)
 
     def rational_value(self) -> Fraction:
         if not self.is_rational:
             raise ValueError(f"{self} is not rational")
-        return self.coords[0]
+        return Fraction(self.num[0], self.den)
 
     def __bool__(self) -> bool:
-        return any(c != 0 for c in self.coords)
+        return any(self.num)
 
     # -- ring operations ----------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, AlgebraicNumber):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return AlgebraicNumber(other)
-        return None
-
     def __add__(self, other):
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
-        return AlgebraicNumber(*(a + b for a, b in zip(self.coords, o.coords)))
+        a0, a1, a2, a3 = self.num
+        b0, b1, b2, b3 = o.num
+        da, db = self.den, o.den
+        if da == db:
+            return _reduced(a0 + b0, a1 + b1, a2 + b2, a3 + b3, da)
+        return _reduced(
+            a0 * db + b0 * da,
+            a1 * db + b1 * da,
+            a2 * db + b2 * da,
+            a3 * db + b3 * da,
+            da * db,
+        )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return AlgebraicNumber(*(-a for a in self.coords))
+        n0, n1, n2, n3 = self.num
+        return _make((-n0, -n1, -n2, -n3), self.den)
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
-        return AlgebraicNumber(*(a - b for a, b in zip(self.coords, o.coords)))
+        return self + (-o)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
-        return o - self
+        return o + (-self)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
-        prod = [Fraction(0)] * 7
-        for i, a in enumerate(self.coords):
-            if a == 0:
-                continue
-            for j, b in enumerate(o.coords):
-                if b != 0:
-                    prod[i + j] += a * b
-        # reduce modulo alpha^4 = 20*alpha^2 - 80
-        for k in range(6, 3, -1):
-            c = prod[k]
-            if c != 0:
-                prod[k - 2] += 20 * c
-                prod[k - 4] -= 80 * c
-                prod[k] = Fraction(0)
-        return AlgebraicNumber(*prod[:4])
+        return _mul(self, o)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "AlgebraicNumber":
-        """Multiplicative inverse via a rational 4x4 linear solve."""
+        """Multiplicative inverse sigma(a) sigma^2(a) sigma^3(a) / N(a)."""
         if not self:
             raise ZeroDivisionError("inverse of zero algebraic number")
-        cols = []
-        for k in range(4):
-            e = [0, 0, 0, 0]
-            e[k] = 1
-            cols.append((self * AlgebraicNumber(*e)).coords)
-        # solve sum_k x_k * (a * alpha^k) = 1
-        rows = [[cols[k][i] for k in range(4)] for i in range(4)]
-        rhs = [Fraction(1), Fraction(0), Fraction(0), Fraction(0)]
-        sol = solve_linear(rows, rhs)
-        assert sol is not None, "field element has no inverse (impossible)"
-        return AlgebraicNumber(*sol)
+        n0, n1, n2, n3 = self.num
+        if not (n1 or n2 or n3):
+            return _reduced(self.den, 0, 0, 0, n0)
+        s1, s2, s3 = (_apply_matrix(g.matrix, self) for g in galois_group()[1:])
+        conj = _mul(_mul(s1, s2), s3)
+        norm = _mul(self, conj)  # rational: fixed by every automorphism
+        c0, c1, c2, c3 = conj.num
+        f = norm.den
+        return _reduced(c0 * f, c1 * f, c2 * f, c3 * f, conj.den * norm.num[0])
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
         return self * o.inverse()
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
         return o * self.inverse()
@@ -172,23 +246,24 @@ class AlgebraicNumber:
     # -- comparison / hashing -----------------------------------------
 
     def __eq__(self, other):
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
-        return self.coords == o.coords
+        return self.den == o.den and self.num == o.num
 
     def __hash__(self):
-        return hash(self.coords)
+        return hash((self.num, self.den))
 
     def __repr__(self):
         return f"AlgebraicNumber{self.coords}"
 
     def __str__(self):
+        coords = self.coords
         if self.is_rational:
-            return str(self.coords[0])
+            return str(coords[0])
         parts = []
         names = ["", "a", "a^2", "a^3"]
-        for c, n in zip(self.coords, names):
+        for c, n in zip(coords, names):
             if c == 0:
                 continue
             parts.append(f"{c}{'*' + n if n else ''}")
@@ -278,22 +353,30 @@ def eval_poly(coeffs, x):
     return acc
 
 
+def _power_matrix(image: AlgebraicNumber) -> tuple:
+    """(rows, den): column k holds den * image^k in the power basis."""
+    powers = [AlgebraicNumber(1)]
+    for _ in range(3):
+        powers.append(_mul(powers[-1], image))
+    den = lcm(*(p.den for p in powers))
+    cols = [[n * (den // p.den) for n in p.num] for p in powers]
+    rows = tuple(tuple(col[i] for col in cols) for i in range(4))
+    return rows, den
+
+
 @dataclass(frozen=True)
 class GaloisElement:
     """Field automorphism of Q(alpha) determined by the image of alpha."""
 
     index: int
     image_of_alpha: AlgebraicNumber
+    matrix: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "matrix", _power_matrix(self.image_of_alpha))
 
     def apply(self, a: AlgebraicNumber) -> AlgebraicNumber:
-        img = self.image_of_alpha
-        acc = AlgebraicNumber(0)
-        pw = AlgebraicNumber(1)
-        for c in a.coords:
-            if c != 0:
-                acc = acc + pw * c
-            pw = pw * img
-        return acc
+        return _apply_matrix(self.matrix, a)
 
     def __call__(self, a: AlgebraicNumber) -> AlgebraicNumber:
         return self.apply(a)
@@ -310,7 +393,7 @@ def galois_group() -> list:
     """The four automorphisms of Q(alpha), identity first.
 
     The roots of the minimal polynomial of alpha inside the field are
-    +-alpha and +-beta with beta = 2*(alpha^2-10)/alpha; each candidate is
+    +-alpha and +-beta with beta = sqrt(10 - 2*sqrt(5)); each candidate is
     verified exactly against the quartic, and the composition table is
     checked to be closed.
     """
@@ -318,8 +401,7 @@ def galois_group() -> list:
     if _GALOIS_CACHE is not None:
         return _GALOIS_CACHE
     alpha = AlgebraicNumber.alpha()
-    # beta = sqrt(10 - 2*sqrt(5)) = 2*(alpha^2 - 10)/alpha
-    beta = (alpha * alpha - 10) * alpha.inverse() * 2
+    beta = AlgebraicNumber.beta()
     candidates = [alpha, -alpha, beta, -beta]
     roots = []
     for r in candidates:
@@ -334,11 +416,10 @@ def galois_group() -> list:
         )
     elements = [GaloisElement(i, r) for i, r in enumerate(roots)]
     # closure of the composition table
-    images = {e.image_of_alpha.coords: e for e in elements}
+    images = {e.image_of_alpha for e in elements}
     for s in elements:
         for t in elements:
-            composed = s.apply(t.image_of_alpha)
-            if composed.coords not in images:
+            if s.apply(t.image_of_alpha) not in images:
                 raise RuntimeError("Galois composition table is not closed")
     _GALOIS_CACHE = elements
     return elements

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .field import AlgebraicNumber
 from .multipoly import MultiPoly, grevlex_key
 
 
@@ -39,9 +38,7 @@ def normal_form(p: MultiPoly, basis) -> MultiPoly:
         for (be, bc), b in zip(lead, basis):
             if _divides(be, e):
                 q = tuple(a - b2 for a, b2 in zip(e, be))
-                factor = c * (
-                    bc.inverse() if isinstance(bc, AlgebraicNumber) else Fraction(1) / bc
-                )
+                factor = c / bc
                 p = p - MultiPoly(variables, {q: factor}) * b
                 break
         else:
@@ -55,8 +52,8 @@ def _s_poly(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     fe, fc = f.leading_term()
     ge, gc = g.leading_term()
     l = _lcm(fe, ge)
-    finv = fc.inverse() if isinstance(fc, AlgebraicNumber) else Fraction(1) / fc
-    ginv = gc.inverse() if isinstance(gc, AlgebraicNumber) else Fraction(1) / gc
+    finv = 1 / fc
+    ginv = 1 / gc
     tf = MultiPoly(f.vars, {tuple(a - b for a, b in zip(l, fe)): finv})
     tg = MultiPoly(g.vars, {tuple(a - b for a, b in zip(l, ge)): ginv})
     return tf * f - tg * g

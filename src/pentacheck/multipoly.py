@@ -13,12 +13,6 @@ from fractions import Fraction
 from .field import AlgebraicNumber
 
 
-def _is_zero(c) -> bool:
-    if isinstance(c, AlgebraicNumber):
-        return not c
-    return c == 0
-
-
 def grevlex_key(exp):
     """Sort key: ascending order is ascending grevlex."""
     return (sum(exp),) + tuple(-e for e in reversed(exp))
@@ -35,7 +29,7 @@ class MultiPoly:
         for exp, c in terms.items():
             if len(exp) != len(self.vars):
                 raise ValueError("exponent length does not match variable registry")
-            if not _is_zero(c):
+            if c:
                 clean[tuple(exp)] = c
         self.terms = clean
 
@@ -47,6 +41,8 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, variables, c):
+        if isinstance(c, int):
+            c = Fraction(c)  # keep 1 / c exact for coefficients
         variables = tuple(variables)
         return cls(variables, {(0,) * len(variables): c})
 
@@ -57,10 +53,6 @@ class MultiPoly:
             raise ValueError(f"unknown variable {name!r}")
         exp = tuple(1 if v == name else 0 for v in variables)
         return cls(variables, {exp: Fraction(1)})
-
-    @classmethod
-    def from_string(cls, text, variables=None):
-        return parse_poly(text, variables)
 
     # -- basic queries ------------------------------------------------
 
@@ -207,7 +199,7 @@ class MultiPoly:
         return result
 
     def scale(self, c) -> "MultiPoly":
-        if _is_zero(c):
+        if not c:
             return MultiPoly.zero(self.vars)
         return MultiPoly(self.vars, {e: cc * c for e, cc in self.terms.items()})
 
@@ -216,9 +208,7 @@ class MultiPoly:
 
     def monic(self) -> "MultiPoly":
         _, lc = self.leading_term()
-        if isinstance(lc, AlgebraicNumber):
-            return self.scale(lc.inverse())
-        return self.scale(Fraction(1) / lc)
+        return self.scale(1 / lc)
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -227,11 +217,10 @@ class MultiPoly:
         a, b = MultiPoly.merge_vars(self, o)
         if set(a.terms) != set(b.terms):
             return False
-        return all(_is_zero(a.terms[e] - b.terms[e]) for e in a.terms)
+        return all(not (a.terms[e] - b.terms[e]) for e in a.terms)
 
     def __hash__(self):
-        key = tuple(sorted((e, _hashable_coeff(c)) for e, c in self.terms.items()))
-        return hash((self.vars, key))
+        return hash((self.vars, tuple(sorted(self.terms.items()))))
 
     # -- calculus and structure ---------------------------------------
 
@@ -329,12 +318,6 @@ class MultiPoly:
         return format_poly(self)
 
 
-def _hashable_coeff(c):
-    if isinstance(c, AlgebraicNumber):
-        return c.coords
-    return c
-
-
 # -- exact division and resultants ------------------------------------
 
 
@@ -346,7 +329,7 @@ def exact_div(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     quot = MultiPoly.zero(p.vars)
     rem = p
     qe, qc = q.leading_term()
-    qc_inv = qc.inverse() if isinstance(qc, AlgebraicNumber) else Fraction(1) / qc
+    qc_inv = 1 / qc
     while not rem.is_zero():
         re, rc = rem.leading_term()
         diff = tuple(a - b for a, b in zip(re, qe))
@@ -382,10 +365,6 @@ def _prem(a: list, b: list) -> list:
     return r
 
 
-def _to_dense(p: MultiPoly, name: str):
-    return p.coeffs_in(name)
-
-
 def _dense_trim(c):
     while len(c) > 1 and c[-1].is_zero():
         c.pop()
@@ -404,8 +383,8 @@ def resultant(p: MultiPoly, q: MultiPoly, name: str) -> MultiPoly:
         raise ValueError(f"both polynomials must have positive degree in {name!r}")
     one = MultiPoly.constant(p.vars, Fraction(1))
 
-    A = _dense_trim(_to_dense(p, name))
-    B = _dense_trim(_to_dense(q, name))
+    A = _dense_trim(p.coeffs_in(name))
+    B = _dense_trim(q.coeffs_in(name))
     s = 1
     if len(A) < len(B):
         A, B = B, A
@@ -436,9 +415,7 @@ def resultant(p: MultiPoly, q: MultiPoly, name: str) -> MultiPoly:
             break
     dA = len(A) - 1
     lB = B[0]
-    if dA == 0:
-        res = lB
-    elif dA == 1:
+    if dA <= 1:
         res = lB
     else:
         res = exact_div(lB**dA, h ** (dA - 1))
@@ -456,8 +433,8 @@ def sylvester_resultant(p: MultiPoly, q: MultiPoly, name: str) -> MultiPoly:
     m, n = p.degree_in(name), q.degree_in(name)
     if m <= 0 or n <= 0:
         raise ValueError("positive degrees required")
-    a = _to_dense(p, name)
-    b = _to_dense(q, name)
+    a = p.coeffs_in(name)
+    b = q.coeffs_in(name)
     size = m + n
     zero = MultiPoly.zero(p.vars)
     rows = []

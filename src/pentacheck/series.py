@@ -23,12 +23,6 @@ class TruncationInsufficient(Exception):
     """The requested quantity is not determined at this truncation order."""
 
 
-def _is_zero(c):
-    if isinstance(c, AlgebraicNumber):
-        return not c
-    return c == 0
-
-
 class TruncatedSeries:
     __slots__ = ("coeffs", "truncation")
 
@@ -47,12 +41,9 @@ class TruncatedSeries:
 
     @classmethod
     def constant(cls, c, truncation):
+        if isinstance(c, int):
+            c = Fraction(c)  # keep 1 / c exact for coefficients
         return cls([c], truncation)
-
-    @classmethod
-    def monomial(cls, coeff, power, truncation):
-        c = [Fraction(0)] * (power) + [coeff]
-        return cls(c, truncation)
 
     @classmethod
     def from_terms(cls, terms, truncation):
@@ -64,12 +55,12 @@ class TruncatedSeries:
         return cls(c, truncation)
 
     def is_zero_to_truncation(self) -> bool:
-        return all(_is_zero(c) for c in self.coeffs)
+        return not any(self.coeffs)
 
     def order(self):
         """(order, leading coefficient); raises ZeroToTruncation if undecidable."""
         for k, c in enumerate(self.coeffs):
-            if not _is_zero(c):
+            if c:
                 return k, c
         raise ZeroToTruncation(
             f"series is zero up to truncation order {self.truncation}"
@@ -117,11 +108,11 @@ class TruncatedSeries:
         T = self.truncation
         out = [Fraction(0)] * (T + 1)
         for i, a in enumerate(self.coeffs):
-            if _is_zero(a):
+            if not a:
                 continue
             for j in range(0, T + 1 - i):
                 b = o.coeffs[j]
-                if not _is_zero(b):
+                if b:
                     out[i + j] = out[i + j] + a * b
         return TruncatedSeries(out, T)
 
@@ -145,16 +136,16 @@ class TruncatedSeries:
         if k >= 0:
             return TruncatedSeries([Fraction(0)] * k + self.coeffs, T)
         for c in self.coeffs[:-k]:
-            if not _is_zero(c):
+            if c:
                 raise ValueError("negative shift of a series with low-order terms")
         return TruncatedSeries(self.coeffs[-k:] + [Fraction(0)] * (-k), T)
 
     def invert_unit(self) -> "TruncatedSeries":
         """Inverse of a series with invertible constant term."""
         c0 = self.coeffs[0]
-        if _is_zero(c0):
+        if not c0:
             raise ValueError("series is not a unit (zero constant term)")
-        inv0 = c0.inverse() if isinstance(c0, AlgebraicNumber) else Fraction(1) / c0
+        inv0 = 1 / c0
         T = self.truncation
         out = [Fraction(0)] * (T + 1)
         out[0] = inv0
@@ -185,7 +176,7 @@ class TruncatedSeries:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return all(_is_zero(a - b) for a, b in zip(self.coeffs, o.coeffs))
+        return all(not (a - b) for a, b in zip(self.coeffs, o.coeffs))
 
     def __hash__(self):
         return hash(tuple(str(c) for c in self.coeffs))
@@ -193,7 +184,7 @@ class TruncatedSeries:
     def __repr__(self):
         parts = []
         for k, c in enumerate(self.coeffs):
-            if not _is_zero(c):
+            if c:
                 parts.append(f"{c}*s^{k}")
         body = " + ".join(parts) if parts else "0"
         return f"<series {body} + O(s^{self.truncation + 1})>"
@@ -219,7 +210,7 @@ class ParamCurve:
 
     def reparametrize(self, c) -> "ParamCurve":
         """s -> c*s with nonzero rational c."""
-        if _is_zero(c):
+        if not c:
             raise ValueError("reparameterization constant must be nonzero")
         out = {}
         for name, s in self.series.items():
@@ -255,7 +246,3 @@ def series_substitute(p: MultiPoly, curve: ParamCurve) -> TruncatedSeries:
         total = total + term
     return total
 
-
-def series_order(s: TruncatedSeries):
-    """(order, leading coefficient); raises ZeroToTruncation when all-zero."""
-    return s.order()

@@ -13,7 +13,6 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .field import AlgebraicNumber
 from .groebner import Ideal, radical_membership, same_radical
 from .multipoly import MultiPoly, content_free, parse_poly, resultant
 from .series import (
@@ -26,18 +25,6 @@ from .series import (
 
 SPACE_VARS = ("x", "y", "z")
 FAMILY_VARS = ("x", "y", "z", "t")
-
-
-def _is_zero(c) -> bool:
-    if isinstance(c, AlgebraicNumber):
-        return not c
-    return c == 0
-
-
-def _invert(c):
-    if isinstance(c, AlgebraicNumber):
-        return c.inverse()
-    return Fraction(1) / Fraction(c)
 
 
 # -- the pinned example -------------------------------------------------
@@ -278,7 +265,7 @@ def _milnor_once(g1: MultiPoly, g2: MultiPoly, vs, rng) -> int:
     G2 = g2.substitute(change).in_vars(uv)
     for G in (G1, G2):
         lead = G.coeffs_in("v")[-1]
-        if _is_zero(lead.evaluate({"u": Fraction(0), "v": Fraction(0)})):
+        if not lead.evaluate({"u": Fraction(0), "v": Fraction(0)}):
             return None  # leading v-coefficient dies at u = 0: inflated order
     r = resultant(G1, G2, "v")
     if r.is_zero():
@@ -392,7 +379,7 @@ def equal_up_to_unit_germ(p: MultiPoly, q: MultiPoly):
     except (ValueError, ZeroDivisionError):
         return None
     origin = {v: Fraction(0) for v in w.vars}
-    if _is_zero(w.evaluate(origin)):
+    if not w.evaluate(origin):
         return None
     return w
 
@@ -445,9 +432,9 @@ def _rational_singular_points(fiber: MultiPoly, t0):
         for z0 in zs:
             at = {"y": y0, "z": z0}
             if (
-                _is_zero(fiber.evaluate(at))
-                and _is_zero(fy.evaluate(at))
-                and _is_zero(fz.evaluate(at))
+                not fiber.evaluate(at)
+                and not fy.evaluate(at)
+                and not fz.evaluate(at)
             ):
                 points.append((y0, z0))
     jac = Ideal([fiber, fy, fz])
@@ -535,10 +522,10 @@ class GradientLimit:
 
 
 def _canonical_tuple(values):
-    lead = next((c for c in values if not _is_zero(c)), None)
+    lead = next((c for c in values if c), None)
     if lead is None:
         raise ValueError("all components vanish")
-    inv = _invert(lead)
+    inv = 1 / lead
     return tuple(c * inv for c in values)
 
 
@@ -580,9 +567,9 @@ def dual_cone_membership(limit: GradientLimit) -> dict:
     """
     e1, e2, e3, e4 = limit.eta
     return {
-        "eta4_zero": _is_zero(e4),
-        "on_X1_dual": _is_zero(e1) and _is_zero(e2) and not _is_zero(e3),
-        "on_X2_dual": _is_zero(e1 * e3 * 4 - e2 * e2),
+        "eta4_zero": not e4,
+        "on_X1_dual": not e1 and not e2 and bool(e3),
+        "on_X2_dual": not (e1 * e3 * 4 - e2 * e2),
     }
 
 

@@ -1,8 +1,13 @@
 """Tests for the pentagon arrangements and the Galois action on them."""
 
+import dataclasses
+
 import pytest
 
 from pentacheck.arrangement import (
+    VARIANTS,
+    _validate_equivariant,
+    _validate_labeling,
     build_arrangement,
     cross_ratio,
     defining_polynomial,
@@ -127,6 +132,21 @@ def test_aprime_is_incidence_rigid():
 def test_cprime_has_cyclic_symmetry_of_order_four():
     autos = incidence_automorphisms(build_arrangement("CPRIME"))
     assert len(autos) == 4
+
+
+def test_arrangements_are_built_once_and_frozen():
+    arr = build_arrangement("APRIME")
+    assert build_arrangement("APRIME") is arr
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        arr.lines = ()
+    for variant in VARIANTS:
+        built = build_arrangement(variant)
+        assert isinstance(built.lines, tuple)
+        assert isinstance(built.lattice, tuple)
+    _validate_labeling(build_arrangement("APRIME"))
+    for variant in ("CPRIME", "RATIONAL10"):
+        _validate_equivariant(build_arrangement(variant), variant)
+    assert build_arrangement("C").weight_histogram() == {4: 1, 3: 8, 2: 6}
 
 
 def test_build_is_deterministic():

@@ -52,6 +52,14 @@ def test_truncation_four_breaks_gradient_limits(capsys):
     assert "error" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_nonpositive_truncation_exits_2(value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "counterexample.lojasiewicz", "--truncation", value])
+    assert exc.value.code == 2
+    assert "positive integer" in capsys.readouterr().err
+
+
 def test_unwritable_report_exits_2(tmp_path, capsys):
     target = tmp_path / "missing-dir" / "report.json"
     code = main(["verify", "field.minimal-polynomial", "--report", str(target)])

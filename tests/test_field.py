@@ -1,6 +1,7 @@
 """Tests for the quartic field Q(alpha), alpha = sqrt(10 + 2*sqrt(5))."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,47 @@ numbers = st.builds(
     lambda a, b, c, d: A(a, b, c, d),
     small_fracs, small_fracs, small_fracs, small_fracs,
 )
+big_ints = st.integers(min_value=-(10**30), max_value=10**30)
+big_dens = st.integers(min_value=1, max_value=10**30)
+big_fracs = st.builds(Fraction, big_ints, big_dens)
+big_coords = st.tuples(big_fracs, big_fracs, big_fracs, big_fracs)
+
+
+# -- reference arithmetic on rational coordinate 4-tuples -------------------
+# Schoolbook products, a Gaussian solve and power accumulation, independent
+# of the integer representation, the norm inverse and the Galois matrices.
+
+
+def ref_mul(a, b):
+    prod = [Fraction(0)] * 7
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    # alpha^4 = 20*alpha^2 - 80
+    for k in range(6, 3, -1):
+        prod[k - 2] += 20 * prod[k]
+        prod[k - 4] -= 80 * prod[k]
+    return tuple(prod[:4])
+
+
+def ref_inverse(a):
+    units = [tuple(Fraction(int(i == k)) for i in range(4)) for k in range(4)]
+    cols = [ref_mul(a, e) for e in units]
+    rows = [[cols[k][i] for k in range(4)] for i in range(4)]
+    return tuple(solve_linear(rows, list(units[0])))
+
+
+def ref_apply(image, a):
+    acc = (Fraction(0),) * 4
+    power = (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
+    for c in a:
+        acc = tuple(x + c * y for x, y in zip(acc, power))
+        power = ref_mul(power, image)
+    return acc
+
+
+def in_lowest_terms(x):
+    return x.den > 0 and gcd(*x.num, x.den) == 1
 
 
 def test_alpha_satisfies_minimal_polynomial():
@@ -42,6 +84,15 @@ def test_sqrt5_squares_to_five():
     s = A.sqrt5()
     assert s * s == A.from_rational(5)
     assert s == (A.alpha() ** 2 - 10) / 2
+
+
+def test_beta_matches_its_definition():
+    b = A.beta()
+    assert b * b == 10 - 2 * A.sqrt5()
+    assert A.alpha() * b == 4 * A.sqrt5()
+    alpha = A.alpha().coords
+    two_alpha2_minus_20 = (Fraction(-20), Fraction(0), Fraction(2), Fraction(0))
+    assert b.coords == ref_mul(two_alpha2_minus_20, ref_inverse(alpha))
 
 
 def test_rationality_detection():
@@ -91,6 +142,71 @@ def test_inverse_multiplies_to_one(a):
             a.inverse()
     else:
         assert a * a.inverse() == A.from_rational(1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(big_coords, big_coords)
+def test_mul_matches_schoolbook_oracle(a, b):
+    prod = A(*a) * A(*b)
+    assert prod.coords == ref_mul(a, b)
+    assert in_lowest_terms(prod)
+
+
+@settings(max_examples=40, deadline=None)
+@given(big_coords)
+def test_inverse_matches_gaussian_oracle(a):
+    x = A(*a)
+    if not x:
+        return
+    inv = x.inverse()
+    assert inv.coords == ref_inverse(a)
+    assert in_lowest_terms(inv)
+
+
+@settings(max_examples=40, deadline=None)
+@given(big_coords)
+def test_galois_apply_matches_power_accumulation(a):
+    for g in galois_group():
+        image = g.apply(A(*a))
+        assert image.coords == ref_apply(g.image_of_alpha.coords, a)
+        assert in_lowest_terms(image)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.tuples(big_ints, big_ints, big_ints, big_ints),
+    big_dens,
+    st.integers(min_value=1, max_value=10**6),
+)
+def test_common_factors_cancel(nums, den, factor):
+    built = A(*(n * factor for n in nums)) / (den * factor)
+    direct = A(*(Fraction(n, den) for n in nums))
+    assert built.coords == tuple(Fraction(n, den) for n in nums)
+    assert in_lowest_terms(built)
+    assert built == direct
+    assert hash(built) == hash(direct)
+    assert built.to_json() == direct.to_json()
+
+
+@settings(max_examples=40, deadline=None)
+@given(big_coords, big_coords)
+def test_equal_values_built_differently_agree(a, b):
+    x, y = A(*a), A(*b)
+    variants = [
+        x,
+        (x + y) - y,
+        -(-x),
+        A.from_json(x.to_json()),
+        galois_group()[0].apply(x),
+        galois_group()[1].apply(galois_group()[1].apply(x)),
+    ]
+    if y:
+        variants.append((x * y) / y)
+    for v in variants:
+        assert v == x
+        assert v.coords == x.coords
+        assert v.to_json() == x.to_json()
+        assert hash(v) == hash(x)
 
 
 def test_galois_fixes_exactly_the_rationals():

@@ -138,3 +138,12 @@ def test_content_free_primitive():
     p = P("4*x^2 - 8*y")
     c = content_free(p)
     assert c == P("x^2 - 2*y") or c == P("-x^2 + 2*y")
+
+
+def test_integer_constants_divide_exactly():
+    two = MultiPoly.constant(XY, 2)
+    assert two.monic().terms == {(0, 0): Fraction(1)}
+    assert P("x + 1") * 2 + 3 == P("2*x + 5")
+    quot = exact_div(P("4*x"), two)
+    assert quot == P("2*x")
+    assert all(isinstance(c, Fraction) for c in quot.terms.values())

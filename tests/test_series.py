@@ -82,3 +82,10 @@ def test_shift_negative_requires_divisibility():
     assert s.shift(-2).order() == (0, Fraction(1))
     with pytest.raises(ValueError):
         S([(0, Fraction(1))]).shift(-1)
+
+
+def test_integer_constant_inverts_exactly():
+    inv = TruncatedSeries.constant(2, T).invert_unit()
+    assert inv.coeffs[0] == Fraction(1, 2)
+    assert all(isinstance(c, Fraction) for c in inv.coeffs)
+    assert (TruncatedSeries.zero(T) + 4).invert_unit() == S([(0, Fraction(1, 4))])
