@@ -8,6 +8,7 @@ with respect to the ideal's variable registry.
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 
 from .multipoly import MultiPoly, grevlex_key
@@ -60,7 +61,12 @@ def _s_poly(f: MultiPoly, g: MultiPoly) -> MultiPoly:
 
 
 def buchberger(generators) -> list:
-    """Reduced Groebner basis (grevlex), deterministic for a fixed input set."""
+    """Reduced Groebner basis (grevlex), deterministic for a fixed input set.
+
+    Pairs come from a heap keyed by (grevlex lcm of the leading monomials,
+    i, j), so they are reduced in the normal-strategy order; each member's
+    leading monomial is computed once.
+    """
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
         return []
@@ -75,18 +81,21 @@ def buchberger(generators) -> list:
         key=lambda g: sorted(map(grevlex_key, g.terms), reverse=True),
     )
     basis = list(gens)
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i)}
+    lead = [g.leading_term()[0] for g in basis]  # parallel to basis
+    pairs = set()  # pairs not yet popped, for the chain criterion
+    heap = []
 
-    def pair_key(pair):
-        i, j = pair
-        l = _lcm(basis[i].leading_term()[0], basis[j].leading_term()[0])
-        return (grevlex_key(l), i, j)
+    def add_pairs(n):
+        for k in range(n):
+            pairs.add((n, k))
+            heapq.heappush(heap, (grevlex_key(_lcm(lead[n], lead[k])), n, k))
 
-    while pairs:
-        i, j = min(pairs, key=pair_key)
+    for n in range(len(basis)):
+        add_pairs(n)
+    while heap:
+        _, i, j = heapq.heappop(heap)
         pairs.discard((i, j))
-        ei = basis[i].leading_term()[0]
-        ej = basis[j].leading_term()[0]
+        ei, ej = lead[i], lead[j]
         if _disjoint(ei, ej):
             continue  # first Buchberger criterion
         l = _lcm(ei, ej)
@@ -94,7 +103,7 @@ def buchberger(generators) -> list:
         for k in range(len(basis)):
             if k in (i, j):
                 continue
-            if not _divides(basis[k].leading_term()[0], l):
+            if not _divides(lead[k], l):
                 continue
             p1 = (max(i, k), min(i, k))
             p2 = (max(j, k), min(j, k))
@@ -108,8 +117,8 @@ def buchberger(generators) -> list:
             continue
         s = s.monic()
         basis.append(s)
-        n = len(basis) - 1
-        pairs.update((n, k) for k in range(n))
+        lead.append(s.leading_term()[0])
+        add_pairs(len(basis) - 1)
     return _interreduce(basis)
 
 

@@ -289,11 +289,16 @@ class MultiPoly:
         return total
 
     def translate(self, point) -> "MultiPoly":
-        """Shift so the given point moves to the origin (x -> x + p)."""
+        """Shift so the given point moves to the origin (x -> x + p).
+
+        Zero shifts are skipped; when nothing moves, self is returned.
+        """
         mapping = {}
         for v, p in point.items():
-            mapping[v] = MultiPoly.var(self.vars, v) + MultiPoly.constant(self.vars, p)
-        return self.substitute(mapping)
+            self._index(v)
+            if p:
+                mapping[v] = MultiPoly.var(self.vars, v) + MultiPoly.constant(self.vars, p)
+        return self.substitute(mapping) if mapping else self
 
     # -- univariate views ---------------------------------------------
 

@@ -191,19 +191,37 @@ class TruncatedSeries:
 
 
 class ParamCurve:
-    """One truncated series per ambient variable, shared parameter and order."""
+    """One truncated series per ambient variable, shared parameter and order.
+
+    `polynomial` is True when every component was given as terms of power
+    at most the truncation: the components are then exact polynomials, not
+    truncations of longer series.
+    """
 
     def __init__(self, series_by_var: dict, truncation: int = DEFAULT_TRUNCATION):
         self.truncation = truncation
         self.series = {}
+        self.polynomial = True
         for name, s in series_by_var.items():
             if isinstance(s, TruncatedSeries):
                 if s.truncation != truncation:
                     raise ValueError("curve components must share the truncation")
                 self.series[name] = s
+                self.polynomial = False
             else:
                 # iterable of (power, coeff)
-                self.series[name] = TruncatedSeries.from_terms(s, truncation)
+                terms = list(s)
+                self.polynomial = self.polynomial and all(
+                    0 <= k <= truncation for k, c in terms if c
+                )
+                self.series[name] = TruncatedSeries.from_terms(terms, truncation)
+
+    def degree(self) -> int:
+        """Largest power with a nonzero coefficient in any component."""
+        return max(
+            (k for s in self.series.values() for k, c in enumerate(s.coeffs) if c),
+            default=0,
+        )
 
     def component(self, name: str) -> TruncatedSeries:
         return self.series[name]
@@ -217,7 +235,9 @@ class ParamCurve:
             out[name] = TruncatedSeries(
                 [coeff * c**k for k, coeff in enumerate(s.coeffs)], self.truncation
             )
-        return ParamCurve(out, self.truncation)
+        curve = ParamCurve(out, self.truncation)
+        curve.polynomial = self.polynomial
+        return curve
 
     def substitute_into(self, p: MultiPoly) -> TruncatedSeries:
         return series_substitute(p, self)

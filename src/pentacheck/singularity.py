@@ -2,8 +2,9 @@
 
 The central object is the surface f = z(zx - y^2) + zx^3 together with its
 deformation to the normal cone F = z(zx - y^2) + t*z*x^3.  Everything here
-is computed exactly: singular loci by radical membership, Milnor numbers as
-resultant orders after random linear changes, discriminants as resultants,
+is computed exactly: singular loci by radical membership, Milnor numbers
+(mu = 1 certified by a nondegenerate Hessian, degenerate critical points as
+resultant orders after random linear changes), discriminants as resultants,
 and gradient limits as leading coefficients of truncated series.
 """
 
@@ -210,8 +211,10 @@ def multiplicity_at(h: MultiPoly, p) -> int:
 def milnor_number_plane(h: MultiPoly, p, seed: int = 0, trials: int = 3) -> int:
     """Local intersection multiplicity of the two partials of h at p.
 
-    Computed as the order at u = 0 of Res_v of the partials after a random
-    invertible linear change of coordinates; the value must agree across
+    A critical point with nondegenerate Hessian has mu = 1, certified
+    exactly by the Morse lemma.  Only a degenerate critical point is
+    computed as the order at u = 0 of Res_v of the partials after a random
+    invertible linear change of coordinates; that value must agree across
     `trials` independent changes, otherwise the computation aborts.
     """
     if len(h.vars) != 2:
@@ -227,6 +230,12 @@ def milnor_number_plane(h: MultiPoly, p, seed: int = 0, trials: int = 3) -> int:
             "a partial derivative vanishes identically: the critical point "
             "is not isolated"
         )
+    # Morse lemma: a nondegenerate Hessian makes the partials meet
+    # transversally, so mu = 1 with no resultant
+    hxx, hxy = g1.terms.get((1, 0), 0), g1.terms.get((0, 1), 0)
+    hyy = g2.terms.get((0, 1), 0)
+    if hxx * hyy - hxy * hxy:
+        return 1
     rng = random.Random(seed)
     # the resultant order can only over-count (a non-generic change drags
     # extra intersections over u = 0), so the certified value is the one the
@@ -576,8 +585,11 @@ def dual_cone_membership(limit: GradientLimit) -> dict:
 def lojasiewicz_orders(F: MultiPoly, curve: ParamCurve) -> dict:
     """Vanishing order of F_t versus the space gradient along the curve.
 
-    A series that vanishes up to the truncation is treated as having
-    infinite order (None).  The inequality |F_t| <= C * |grad_(x,y,z) F|
+    A partial whose composition with the curve is exactly zero has infinite
+    order (None).  The composition is exact when the curve's components are
+    polynomials and T >= deg(partial) * (largest component degree); a
+    partial that vanishes only up to a lower truncation raises
+    TruncationInsufficient.  The inequality |F_t| <= C * |grad_(x,y,z) F|
     fails along the curve exactly when the left order is strictly smaller.
     """
     data = {}
@@ -587,6 +599,15 @@ def lojasiewicz_orders(F: MultiPoly, curve: ParamCurve) -> dict:
         try:
             data[v] = s.order()
         except ZeroToTruncation:
+            exact = part.is_zero() or (
+                curve.polynomial
+                and part.total_degree() * curve.degree() <= curve.truncation
+            )
+            if not exact:
+                raise TruncationInsufficient(
+                    f"dF/d{v} vanishes up to truncation order "
+                    f"{curve.truncation} along the curve; increase truncation"
+                ) from None
             data[v] = None
     lhs = data["t"]
     rhs_known = [data[v] for v in SPACE_VARS if data[v] is not None]

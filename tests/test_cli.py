@@ -60,6 +60,16 @@ def test_nonpositive_truncation_exits_2(value, capsys):
     assert "positive integer" in capsys.readouterr().err
 
 
+def test_low_truncation_lojasiewicz_errors_instead_of_failing(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    args = ["verify", "counterexample.lojasiewicz", "--report", str(report)]
+    assert main(args + ["--truncation", "4"]) == 1
+    (entry,) = json.loads(report.read_text())["entries"]
+    assert entry["status"] == "error"
+    assert "increase truncation" in entry["witnesses"]["error"]
+    assert main(args) == 0
+
+
 def test_unwritable_report_exits_2(tmp_path, capsys):
     target = tmp_path / "missing-dir" / "report.json"
     code = main(["verify", "field.minimal-polynomial", "--report", str(target)])

@@ -2,6 +2,10 @@
 
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from pentacheck.groebner import (
     Ideal,
     buchberger,
@@ -9,7 +13,8 @@ from pentacheck.groebner import (
     radical_membership,
     same_radical,
 )
-from pentacheck.multipoly import parse_poly
+from pentacheck.multipoly import MultiPoly, parse_poly
+from pentacheck.singularity import cusp_family, jacobian_ideal, polar_curve_empty
 
 XYZ = ("x", "y", "z")
 
@@ -70,3 +75,65 @@ def test_empty_variety_equals_unit_ideal():
     smooth = Ideal([P("1")])
     partials = Ideal([P("1"), P("z")])
     assert same_radical(partials, smooth)
+
+
+# -- independent oracle: sympy's reduced grevlex basis ------------------
+
+
+def assert_basis_matches_sympy(sympy, gens, basis):
+    """basis equals sympy's monic reduced grevlex basis of gens, as a set."""
+    variables = basis[0].vars
+    syms = sympy.symbols(variables)
+    exprs = [
+        sympy.Poly.from_dict(
+            {
+                e: sympy.Rational(c.numerator, c.denominator)
+                for e, c in g.in_vars(variables).terms.items()
+            },
+            *syms,
+            domain=sympy.QQ,
+        ).as_expr()
+        for g in gens
+    ]
+    theirs = sympy.groebner(exprs, *syms, order="grevlex", domain=sympy.QQ)
+    expected = set()
+    for p in theirs.polys:
+        lc = Fraction(str(p.LC(order="grevlex")))
+        expected.add(frozenset((m, Fraction(str(c)) / lc) for m, c in p.terms()))
+    assert len(basis) == len(theirs.polys)
+    assert {frozenset(g.terms.items()) for g in basis} == expected
+
+
+def test_buchberger_matches_sympy_on_cusp_jacobian():
+    sympy = pytest.importorskip("sympy")
+    gens = jacobian_ideal(cusp_family()).generators
+    assert_basis_matches_sympy(sympy, gens, buchberger(gens))
+
+
+def test_polar_curve_certificate_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    F = cusp_family()
+    ext = F.vars + ("w_",)
+    gens = [F.derivative(v).in_vars(ext) for v in XYZ]
+    gens.append(
+        MultiPoly.constant(ext, Fraction(1)) - MultiPoly.var(ext, "w_") * F.in_vars(ext)
+    )
+    certificate = polar_curve_empty(F).certificate
+    assert_basis_matches_sympy(sympy, gens, certificate)
+
+
+monomials = st.tuples(*[st.integers(0, 2)] * 3).filter(lambda e: sum(e) <= 3)
+small_polys = st.dictionaries(
+    monomials, st.integers(-3, 3).filter(bool), min_size=1, max_size=3
+).map(lambda terms: MultiPoly(XYZ, {e: Fraction(c) for e, c in terms.items()}))
+
+
+def test_buchberger_matches_sympy_on_small_ideals():
+    sympy = pytest.importorskip("sympy")
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.lists(small_polys, min_size=1, max_size=3))
+    def check(gens):
+        assert_basis_matches_sympy(sympy, gens, buchberger(gens))
+
+    check()

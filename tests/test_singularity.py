@@ -3,11 +3,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+import pentacheck.singularity as sing
 from pentacheck.arrangement import build_arrangement, defining_polynomial
 from pentacheck.groebner import Ideal, buchberger
 from pentacheck.multipoly import MultiPoly, parse_poly
-from pentacheck.series import ParamCurve, TruncationInsufficient
+from pentacheck.checks import RunContext, get_check, run_check
+from pentacheck.series import ParamCurve, TruncatedSeries, TruncationInsufficient
 from pentacheck.singularity import (
     SurfaceGerm,
     cone_over_arrangement,
@@ -39,6 +43,7 @@ from pentacheck.singularity import (
 XYZ = ("x", "y", "z")
 XYZT = ("x", "y", "z", "t")
 ONE = Fraction(1)
+QUADRIC_CUSP = parse_poly("z*x - y^2 + x^3", XYZ)
 
 
 # -- oracle: Milnor number as local-algebra dimension -------------------
@@ -204,6 +209,58 @@ def test_milnor_invariant_under_seed_and_scaling():
     assert milnor_number_plane(h.scale(Fraction(7, 3)), (0, 0)) == 3
 
 
+XY = ("x", "y")
+small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def plane_germs(draw):
+    """h = q(x, y) + cubic terms; q is arbitrary, of rank one, or zero.
+
+    The last two force a degenerate Hessian, so both branches of
+    milnor_number_plane run.
+    """
+    kind = draw(st.sampled_from(["any", "rank1", "zero"]))
+    if kind == "any":
+        a, b, c = draw(small), draw(small), draw(small)
+    elif kind == "rank1":  # k * (u*x + v*y)^2
+        k, u, v = draw(small), draw(small), draw(small)
+        a, b, c = k * u * u, 2 * k * u * v, k * v * v
+    else:
+        a = b = c = Fraction(0)
+    terms = {(2, 0): a, (1, 1): b, (0, 2): c}
+    for i in range(4):
+        terms[(3 - i, i)] = draw(small)
+    return MultiPoly(XY, terms)
+
+
+def _isolated_at_origin(h):
+    g1, g2 = h.derivative("x"), h.derivative("y")
+    return _local_algebra_dim(g1, g2, 7) == _local_algebra_dim(g1, g2, 9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(plane_germs())
+@example(parse_poly("x^2 + 3*x*y - y^3", XY))  # det != 0: mu = 1
+@example(parse_poly("x^2 + y^3", XY))  # det = 0: A2, mu = 2
+@example(parse_poly("x^2 + x*y^2", XY))  # det = 0: A3, mu = 3
+@example(parse_poly("x^3 - x*y^2 + y^3", XY))  # q = 0: D4, mu = 4
+def test_milnor_matches_oracle_on_random_germs(h):
+    assume(_isolated_at_origin(h))
+    origin = (Fraction(0), Fraction(0))
+    assert milnor_number_plane(h, origin) == milnor_oracle(h, origin)
+
+
+def test_morse_sections_need_no_resultant(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("resultant called")
+
+    monkeypatch.setattr(sing, "resultant", refuse)
+    assert hyperplane_section_milnor(QUADRIC_CUSP, 1, 0) == 1
+    with pytest.raises(AssertionError, match="resultant called"):
+        hyperplane_section_milnor(QUADRIC_CUSP, -1, 2)  # degenerate: mu = 2
+
+
 def test_milnor_rejects_nonisolated():
     with pytest.raises(ArithmeticError):
         milnor_number_plane(parse_poly("z^2", ("y", "z")), (0, 0))
@@ -317,10 +374,52 @@ def test_lojasiewicz_degenerate_convention():
     assert r["order_lhs"] is None and not r["inequality_fails"]
 
 
+def test_lojasiewicz_degenerate_convention_survives_reparametrization():
+    curve = ParamCurve(
+        {"x": [(1, ONE)], "y": [(1, ONE)], "z": [], "t": [(1, ONE)]}, 16
+    ).reparametrize(Fraction(2))
+    assert lojasiewicz_orders(cusp_family(), curve)["order_lhs"] is None
+
+
+def test_lojasiewicz_low_truncation_is_undecided():
+    # dF/dx = -5s^8 + ... is zero only up to T = 4: no order may be read off
+    with pytest.raises(TruncationInsufficient, match="increase truncation"):
+        lojasiewicz_orders(cusp_family(), lojasiewicz_test_curve(4))
+
+
+def test_lojasiewicz_zero_on_truncated_series_is_undecided():
+    # components given as series may be truncations of longer ones
+    curve = ParamCurve(
+        {
+            "x": TruncatedSeries.from_terms([(1, ONE)], 16),
+            "y": TruncatedSeries.from_terms([(1, ONE)], 16),
+            "z": TruncatedSeries.zero(16),
+            "t": TruncatedSeries.from_terms([(1, ONE)], 16),
+        },
+        16,
+    )
+    with pytest.raises(TruncationInsufficient):
+        lojasiewicz_orders(cusp_family(), curve)
+
+
+@pytest.mark.parametrize(
+    "check_id",
+    [
+        "counterexample.lojasiewicz",
+        "counterexample.gradient-limits",
+        "counterexample.dual-cone",
+    ],
+)
+def test_low_truncation_never_refutes(check_id):
+    # these are the checks that read the truncation
+    check = get_check(check_id)
+    for T in range(1, 17):
+        status = run_check(check, RunContext(truncation=T))["status"]
+        assert status in ("pass", "error"), (T, status)
+    assert run_check(check, RunContext())["status"] == "pass"
+
+
 # -- hyperplane sections ------------------------------------------------
-
-
-QUADRIC_CUSP = parse_poly("z*x - y^2 + x^3", XYZ)
 
 
 def test_hyperplane_section_milnor_values():
