@@ -26,13 +26,19 @@ def _disjoint(e1, e2):
     return all(a == 0 or b == 0 for a, b in zip(e1, e2))
 
 
-def normal_form(p: MultiPoly, basis) -> MultiPoly:
-    """Remainder of p under multivariate division by the basis."""
+def normal_form(p: MultiPoly, basis, lead=None) -> MultiPoly:
+    """Remainder of p under multivariate division by the basis.
+
+    `lead`, when given, lists the basis members' leading terms
+    `(exponent, coefficient)` in basis order, as `leading_term()` returns
+    them; callers that already hold them skip recomputing one per member.
+    """
     if not basis:
         return p
     variables = basis[0].vars
     p = p.in_vars(variables)
-    lead = [b.leading_term() for b in basis]
+    if lead is None:
+        lead = [b.leading_term() for b in basis]
     rem = MultiPoly.zero(variables)
     while not p.is_zero():
         e, c = p.leading_term()
@@ -49,9 +55,9 @@ def normal_form(p: MultiPoly, basis) -> MultiPoly:
     return rem
 
 
-def _s_poly(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    fe, fc = f.leading_term()
-    ge, gc = g.leading_term()
+def _s_poly(f: MultiPoly, g: MultiPoly, f_lead, g_lead) -> MultiPoly:
+    fe, fc = f_lead
+    ge, gc = g_lead
     l = _lcm(fe, ge)
     finv = 1 / fc
     ginv = 1 / gc
@@ -65,7 +71,7 @@ def buchberger(generators) -> list:
 
     Pairs come from a heap keyed by (grevlex lcm of the leading monomials,
     i, j), so they are reduced in the normal-strategy order; each member's
-    leading monomial is computed once.
+    leading term is computed once and handed to every normal form.
     """
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
@@ -81,21 +87,22 @@ def buchberger(generators) -> list:
         key=lambda g: sorted(map(grevlex_key, g.terms), reverse=True),
     )
     basis = list(gens)
-    lead = [g.leading_term()[0] for g in basis]  # parallel to basis
+    lead = [g.leading_term() for g in basis]  # parallel to basis
     pairs = set()  # pairs not yet popped, for the chain criterion
     heap = []
 
     def add_pairs(n):
         for k in range(n):
             pairs.add((n, k))
-            heapq.heappush(heap, (grevlex_key(_lcm(lead[n], lead[k])), n, k))
+            l = _lcm(lead[n][0], lead[k][0])
+            heapq.heappush(heap, (grevlex_key(l), n, k))
 
     for n in range(len(basis)):
         add_pairs(n)
     while heap:
         _, i, j = heapq.heappop(heap)
         pairs.discard((i, j))
-        ei, ej = lead[i], lead[j]
+        ei, ej = lead[i][0], lead[j][0]
         if _disjoint(ei, ej):
             continue  # first Buchberger criterion
         l = _lcm(ei, ej)
@@ -103,7 +110,7 @@ def buchberger(generators) -> list:
         for k in range(len(basis)):
             if k in (i, j):
                 continue
-            if not _divides(lead[k], l):
+            if not _divides(lead[k][0], l):
                 continue
             p1 = (max(i, k), min(i, k))
             p2 = (max(j, k), min(j, k))
@@ -112,36 +119,35 @@ def buchberger(generators) -> list:
                 break
         if skip:
             continue
-        s = normal_form(_s_poly(basis[i], basis[j]), basis)
+        s = _s_poly(basis[i], basis[j], lead[i], lead[j])
+        s = normal_form(s, basis, lead)
         if s.is_zero():
             continue
         s = s.monic()
         basis.append(s)
-        lead.append(s.leading_term()[0])
+        lead.append(s.leading_term())
         add_pairs(len(basis) - 1)
-    return _interreduce(basis)
+    return _interreduce(basis, lead)
 
 
-def _interreduce(basis) -> list:
+def _interreduce(basis, lead) -> list:
     # drop members whose leading monomial is divisible by another's
-    basis = list(basis)
+    keep = list(range(len(basis)))
     changed = True
     while changed:
         changed = False
-        for i, b in enumerate(basis):
-            others = basis[:i] + basis[i + 1 :]
-            if not others:
-                continue
-            e, _ = b.leading_term()
-            if any(_divides(o.leading_term()[0], e) for o in others):
-                basis.pop(i)
+        for pos, i in enumerate(keep):
+            if any(_divides(lead[k][0], lead[i][0]) for k in keep if k != i):
+                keep.pop(pos)
                 changed = True
                 break
     # fully reduce each member against the rest
     out = []
-    for i, b in enumerate(basis):
-        others = basis[:i] + basis[i + 1 :]
-        r = normal_form(b, others) if others else b
+    for i in keep:
+        others = [k for k in keep if k != i]
+        r = basis[i]
+        if others:
+            r = normal_form(r, [basis[k] for k in others], [lead[k] for k in others])
         out.append(r.monic())
     out.sort(key=lambda g: grevlex_key(g.leading_term()[0]))
     return out

@@ -1,8 +1,10 @@
 """Truncated power series in one parameter and parameterized curves.
 
-A TruncatedSeries stores exact coefficients of s^0..s^T.  Arithmetic never
-pretends to know coefficients beyond T; order-of-vanishing queries fail
-loudly when the truncation cannot decide them.
+A TruncatedSeries stores the exact coefficients of s^0..s^T, keeping only
+the nonzero ones as {power: coeff}, so the cost of arithmetic follows the
+number of terms (for a polynomial curve, its degree) and not T.  Arithmetic
+never pretends to know coefficients beyond T; order-of-vanishing queries
+fail loudly when the truncation cannot decide them.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from .field import AlgebraicNumber
 from .multipoly import MultiPoly
 
 DEFAULT_TRUNCATION = 16
+_ZERO = Fraction(0)
 
 
 class ZeroToTruncation(Exception):
@@ -24,54 +27,58 @@ class TruncationInsufficient(Exception):
 
 
 class TruncatedSeries:
-    __slots__ = ("coeffs", "truncation")
+    """Exact coefficients of s^0..s^T; `terms` holds only the nonzero ones."""
 
-    def __init__(self, coeffs, truncation):
-        coeffs = list(coeffs)
-        if len(coeffs) > truncation + 1:
-            coeffs = coeffs[: truncation + 1]
-        while len(coeffs) < truncation + 1:
-            coeffs.append(Fraction(0))
-        self.coeffs = coeffs
+    __slots__ = ("terms", "truncation")
+
+    def __init__(self, terms: dict, truncation):
+        """terms: {power: coeff}; zeros and powers above T are dropped."""
+        self.terms = {k: c for k, c in terms.items() if c and k <= truncation}
         self.truncation = truncation
 
     @classmethod
     def zero(cls, truncation):
-        return cls([], truncation)
+        return cls({}, truncation)
 
     @classmethod
     def constant(cls, c, truncation):
         if isinstance(c, int):
             c = Fraction(c)  # keep 1 / c exact for coefficients
-        return cls([c], truncation)
+        return cls({0: c}, truncation)
 
     @classmethod
     def from_terms(cls, terms, truncation):
         """terms: iterable of (power, coeff)."""
-        c = [Fraction(0)] * (truncation + 1)
+        out = {}
         for k, v in terms:
             if 0 <= k <= truncation:
-                c[k] = c[k] + v
-        return cls(c, truncation)
+                out[k] = out.get(k, _ZERO) + v
+        return cls(out, truncation)
+
+    @property
+    def coeffs(self) -> list:
+        """Dense read-only view: the coefficients of s^0..s^T."""
+        get = self.terms.get
+        return [get(k, _ZERO) for k in range(self.truncation + 1)]
 
     def is_zero_to_truncation(self) -> bool:
-        return not any(self.coeffs)
+        return not self.terms
 
     def order(self):
         """(order, leading coefficient); raises ZeroToTruncation if undecidable."""
-        for k, c in enumerate(self.coeffs):
-            if c:
-                return k, c
-        raise ZeroToTruncation(
-            f"series is zero up to truncation order {self.truncation}"
-        )
+        if not self.terms:
+            raise ZeroToTruncation(
+                f"series is zero up to truncation order {self.truncation}"
+            )
+        k = min(self.terms)
+        return k, self.terms[k]
 
     def coefficient(self, k):
         if k > self.truncation:
             raise TruncationInsufficient(
                 f"coefficient of s^{k} beyond truncation {self.truncation}"
             )
-        return self.coeffs[k]
+        return self.terms.get(k, _ZERO)
 
     def _coerce(self, other):
         if isinstance(other, TruncatedSeries):
@@ -86,14 +93,17 @@ class TruncatedSeries:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return TruncatedSeries(
-            [a + b for a, b in zip(self.coeffs, o.coeffs)], self.truncation
-        )
+        out = dict(self.terms)
+        for k, c in o.terms.items():
+            out[k] = out[k] + c if k in out else c
+        return TruncatedSeries(out, self.truncation)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncatedSeries([-a for a in self.coeffs], self.truncation)
+        return TruncatedSeries(
+            {k: -c for k, c in self.terms.items()}, self.truncation
+        )
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -106,14 +116,15 @@ class TruncatedSeries:
         if o is None:
             return NotImplemented
         T = self.truncation
-        out = [Fraction(0)] * (T + 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j in range(0, T + 1 - i):
-                b = o.coeffs[j]
-                if b:
-                    out[i + j] = out[i + j] + a * b
+        right = sorted(o.terms.items())
+        out = {}
+        for i, a in self.terms.items():
+            top = T - i
+            for j, b in right:
+                if j > top:
+                    break
+                k = i + j
+                out[k] = out[k] + a * b if k in out else a * b
         return TruncatedSeries(out, T)
 
     __rmul__ = __mul__
@@ -121,40 +132,45 @@ class TruncatedSeries:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative series power; use divide")
-        result = TruncatedSeries.constant(Fraction(1), self.truncation)
+        result = None
         base = self
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
+            if n:
+                base = base * base
+        if result is None:
+            return TruncatedSeries.constant(Fraction(1), self.truncation)
         return result
 
     def shift(self, k: int) -> "TruncatedSeries":
         """Multiply by s^k (k may be negative if divisible)."""
-        T = self.truncation
-        if k >= 0:
-            return TruncatedSeries([Fraction(0)] * k + self.coeffs, T)
-        for c in self.coeffs[:-k]:
-            if c:
-                raise ValueError("negative shift of a series with low-order terms")
-        return TruncatedSeries(self.coeffs[-k:] + [Fraction(0)] * (-k), T)
+        if k < 0 and any(j < -k for j in self.terms):
+            raise ValueError("negative shift of a series with low-order terms")
+        return TruncatedSeries(
+            {j + k: c for j, c in self.terms.items()}, self.truncation
+        )
 
     def invert_unit(self) -> "TruncatedSeries":
         """Inverse of a series with invertible constant term."""
-        c0 = self.coeffs[0]
+        c0 = self.terms.get(0)
         if not c0:
             raise ValueError("series is not a unit (zero constant term)")
         inv0 = 1 / c0
-        T = self.truncation
-        out = [Fraction(0)] * (T + 1)
-        out[0] = inv0
-        for k in range(1, T + 1):
-            acc = Fraction(0)
-            for j in range(1, k + 1):
-                acc = acc + self.coeffs[j] * out[k - j]
-            out[k] = -inv0 * acc
-        return TruncatedSeries(out, T)
+        rest = sorted((j, c) for j, c in self.terms.items() if j)
+        out = {0: inv0}
+        for k in range(1, self.truncation + 1):
+            acc = _ZERO
+            for j, c in rest:
+                if j > k:
+                    break
+                prev = out.get(k - j)
+                if prev is not None:
+                    acc = acc + c * prev
+            if acc:
+                out[k] = -inv0 * acc
+        return TruncatedSeries(out, self.truncation)
 
     def divide(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """Division when the divisor's order can be cancelled exactly.
@@ -168,24 +184,23 @@ class TruncatedSeries:
         q = num * unit.invert_unit()
         if k:
             # top k coefficients of the quotient are not determined
-            coeffs = q.coeffs[: self.truncation + 1 - k] + [Fraction(0)] * k
-            q = TruncatedSeries(coeffs, self.truncation)
+            top = self.truncation - k
+            q = TruncatedSeries(
+                {j: c for j, c in q.terms.items() if j <= top}, self.truncation
+            )
         return q
 
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return all(not (a - b) for a, b in zip(self.coeffs, o.coeffs))
-
-    def __hash__(self):
-        return hash(tuple(str(c) for c in self.coeffs))
+        a, b = self.terms, o.terms
+        return all(
+            not (a.get(k, _ZERO) - b.get(k, _ZERO)) for k in a.keys() | b.keys()
+        )
 
     def __repr__(self):
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if c:
-                parts.append(f"{c}*s^{k}")
+        parts = [f"{c}*s^{k}" for k, c in sorted(self.terms.items())]
         body = " + ".join(parts) if parts else "0"
         return f"<series {body} + O(s^{self.truncation + 1})>"
 
@@ -218,10 +233,7 @@ class ParamCurve:
 
     def degree(self) -> int:
         """Largest power with a nonzero coefficient in any component."""
-        return max(
-            (k for s in self.series.values() for k, c in enumerate(s.coeffs) if c),
-            default=0,
-        )
+        return max((k for s in self.series.values() for k in s.terms), default=0)
 
     def component(self, name: str) -> TruncatedSeries:
         return self.series[name]
@@ -233,7 +245,7 @@ class ParamCurve:
         out = {}
         for name, s in self.series.items():
             out[name] = TruncatedSeries(
-                [coeff * c**k for k, coeff in enumerate(s.coeffs)], self.truncation
+                {k: coeff * c**k for k, coeff in s.terms.items()}, self.truncation
             )
         curve = ParamCurve(out, self.truncation)
         curve.polynomial = self.polynomial

@@ -1,6 +1,7 @@
 """Tests for the pentagon arrangements and the Galois action on them."""
 
 import dataclasses
+from fractions import Fraction
 
 import pytest
 
@@ -122,6 +123,21 @@ def test_cross_ratio_agrees_between_realizations():
     lam_a = cross_ratio([a.line(l) for l in ("AI", "BI", "CI", "DI")])
     lam_c = cross_ratio([c.line(l) for l in ("AI", "BI", "CI", "DI")])
     assert minimal_polynomial(lam_a) == minimal_polynomial(lam_c)
+
+
+def test_cross_ratio_minimal_polynomial_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    arr = build_arrangement("APRIME")
+    lam = cross_ratio([arr.line(l) for l in ("AI", "BI", "CI", "DI")])
+    # alpha^2 = 10 + 2*sqrt(5): the same element written in sqrt(5) and alpha
+    sqrt5 = sympy.sqrt(5)
+    alpha = sympy.sqrt(10 + 2 * sqrt5)
+    c0, c1, c2, c3 = (sympy.Rational(c.numerator, c.denominator) for c in lam.coords)
+    element = c0 + c1 * alpha + (c2 + c3 * alpha) * (10 + 2 * sqrt5)
+    X = sympy.Symbol("X")
+    theirs = sympy.Poly(sympy.minimal_polynomial(element, X), X).monic()
+    expected = [Fraction(str(c)) for c in reversed(theirs.all_coeffs())]
+    assert minimal_polynomial(lam) == expected
 
 
 def test_aprime_is_incidence_rigid():

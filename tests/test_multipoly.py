@@ -147,3 +147,37 @@ def test_integer_constants_divide_exactly():
     quot = exact_div(P("4*x"), two)
     assert quot == P("2*x")
     assert all(isinstance(c, Fraction) for c in quot.terms.values())
+
+
+# -- independent oracle: sympy's resultant --------------------------------
+
+
+def to_sympy(sympy, p):
+    syms = sympy.symbols(p.vars)
+    return sympy.Poly.from_dict(
+        {e: sympy.Rational(c.numerator, c.denominator) for e, c in p.terms.items()},
+        *syms,
+        domain=sympy.QQ,
+    ).as_expr()
+
+
+def test_resultant_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x, y = sympy.symbols(XY)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.data())
+    def check(data):
+        p = random_poly(data.draw)
+        q = random_poly(data.draw)
+        if any(f.is_zero() or f.degree_in("y") == 0 for f in (p, q)):
+            return
+        dp, dq = p.degree_in("y"), q.degree_in("y")
+        # sympy returns Res(q, p) = (-1)^(dp*dq) Res(p, q) when dp < dq
+        sign = (-1) ** (dp * dq) if dp < dq else 1
+        res = sympy.resultant(to_sympy(sympy, p), to_sympy(sympy, q), y)
+        theirs = sympy.Poly(sign * res, x, y)
+        expected = {e: Fraction(str(c)) for e, c in theirs.terms() if c}
+        assert resultant(p, q, "y").terms == expected
+
+    check()

@@ -304,13 +304,29 @@ def test_discriminant_multiplicity_rejects_irrational_fiber():
 # -- gradient limits ----------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "params",
-    [(1, 0, 0, 0, 1), (2, 0, 1, 3, 1), (1, 1, 2, -1, 3), (-1, 0, 1, 1, 2), (3, 2, -1, 5, -2)],
-)
+TANGENCY_PARAMS = [
+    (1, 0, 0, 0, 1),
+    (2, 0, 1, 3, 1),
+    (1, 1, 2, -1, 3),
+    (-1, 0, 1, 1, 2),
+    (3, 2, -1, 5, -2),
+]
+
+
+@pytest.mark.parametrize("params", TANGENCY_PARAMS)
 def test_gradient_limit_matches_formula(params):
     lim = gradient_limit(cusp_family(), tangency_curve(*params))
     assert lim.eta == tangency_limit_formula(*params)
+
+
+@pytest.mark.parametrize("params", TANGENCY_PARAMS)
+def test_gradient_limit_is_independent_of_truncation(params):
+    limits = [
+        gradient_limit(cusp_family(), tangency_curve(*params, truncation=T))
+        for T in (16, 64, 256)
+    ]
+    expected = (tangency_limit_formula(*params), limits[0].order)
+    assert {(lim.eta, lim.order) for lim in limits} == {expected}
 
 
 def test_gradient_limit_reparametrization_invariant():
@@ -356,6 +372,16 @@ def test_lojasiewicz_fails_on_pinned_curve():
     r = lojasiewicz_orders(cusp_family(), lojasiewicz_test_curve())
     assert (r["order_lhs"], r["order_rhs"], r["inequality_fails"]) == (7, 8, True)
     assert r["leading_lhs"] == "1" and r["leading_rhs"] == "-5"
+
+
+def test_lojasiewicz_is_independent_of_truncation():
+    low = lojasiewicz_orders(cusp_family(), lojasiewicz_test_curve(16))
+    assert low == lojasiewicz_orders(cusp_family(), lojasiewicz_test_curve(256))
+
+
+def test_series_power_stores_only_nonzero_coefficients():
+    x = lojasiewicz_test_curve(256).component("x")  # x = s
+    assert len((x**40).terms) == 1
 
 
 def test_lojasiewicz_holds_on_generic_curve():
