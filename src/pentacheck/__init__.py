@@ -6,4 +6,4 @@ group, projective line arrangements and their lattices, Groebner bases,
 resultants, truncated power series, Milnor numbers, and gradient limits.
 """
 
-__version__ = "1.0.0"
+__version__ = "2.0.0"

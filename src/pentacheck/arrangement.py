@@ -117,15 +117,16 @@ class ProjLine:
         inv = v.inverse()
         return ("y", -(w * inv))
 
-    def normal_polynomial(self, variables=("x", "y")) -> MultiPoly:
+    def normal_polynomial(self) -> MultiPoly:
         nf = self.affine_normal_form()
-        x = MultiPoly.var(variables, "x")
-        y = MultiPoly.var(variables, "y")
+        xy = ("x", "y")
+        x = MultiPoly.var(xy, "x")
+        y = MultiPoly.var(xy, "y")
         if nf[0] == "x":
             _, b, a = nf
-            return x - y * b - MultiPoly.constant(variables, a)
+            return x - y * b - MultiPoly.constant(xy, a)
         _, c = nf
-        return y - MultiPoly.constant(variables, c)
+        return y - MultiPoly.constant(xy, c)
 
     def apply_galois(self, sigma) -> "ProjLine":
         return ProjLine(*(sigma(c) for c in self.coords))
@@ -479,11 +480,11 @@ def line_weight_profile(arr: Arrangement, label: str) -> list:
 CROSS_RATIO_INFINITY = "infinity"
 
 
-def cross_ratio(lines, transversal: ProjLine | None = None):
+def cross_ratio(lines):
     """Cross-ratio of four distinct concurrent lines.
 
-    Computed from the intersections with a transversal avoiding the pencil's
-    center; returns an AlgebraicNumber, or CROSS_RATIO_INFINITY.
+    Computed from the intersections with a fixed transversal avoiding the
+    pencil's center; returns an AlgebraicNumber, or CROSS_RATIO_INFINITY.
     """
     if len(lines) != 4:
         raise ValueError("a pencil of exactly 4 lines is required")
@@ -493,10 +494,7 @@ def cross_ratio(lines, transversal: ProjLine | None = None):
     for l in lines[2:]:
         if not l.contains(center):
             raise ValueError("lines are not concurrent")
-    if transversal is None:
-        transversal = _pick_transversal(center, lines)
-    elif transversal.contains(center) or transversal in lines:
-        raise ValueError("transversal must avoid the pencil's center")
+    transversal = _pick_transversal(center, lines)
     pts = [intersect(transversal, l) for l in lines]
     q0, q1 = _two_points_on(transversal)
     coords = []
@@ -602,12 +600,12 @@ def incidence_automorphisms(arr: Arrangement) -> list:
 # -- defining polynomials and Galois action ---------------------------
 
 
-def defining_polynomial(arr: Arrangement, variables=("x", "y")) -> MultiPoly:
+def defining_polynomial(arr: Arrangement) -> MultiPoly:
     """Product of the normalized affine line forms; degree = number of lines."""
-    prod = MultiPoly.constant(variables, Fraction(1))
+    prod = MultiPoly.constant(("x", "y"), Fraction(1))
     for lab, line in arr.lines:
         try:
-            prod = prod * line.normal_polynomial(variables)
+            prod = prod * line.normal_polynomial()
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"line {lab!r} has no affine normal form") from exc
     return prod

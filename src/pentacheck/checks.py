@@ -2,8 +2,8 @@
 
 Each check pins the inputs of one workbench computation and compares the
 result against the claimed exact value.  Checks are pure functions of a
-RunContext (seed and series truncation), so a fixed context reproduces the
-same witnesses bit for bit.
+RunContext (the series truncation), so a fixed context reproduces the same
+witnesses bit for bit.
 """
 
 from __future__ import annotations
@@ -27,12 +27,9 @@ from .multipoly import MultiPoly, format_poly, parse_poly
 from .series import DEFAULT_TRUNCATION, ParamCurve, TruncationInsufficient
 from . import singularity as sing
 
-DEFAULT_SEED = 20260823
-
 
 @dataclass(frozen=True)
 class RunContext:
-    seed: int = DEFAULT_SEED
     truncation: int = DEFAULT_TRUNCATION
 
 
@@ -415,7 +412,7 @@ def _milnor(ctx):
     out = {}
     ok = True
     h0 = sing.section_fiber(0)
-    mu0 = sing.milnor_number_plane(h0, (Fraction(0), Fraction(0)), seed=ctx.seed)
+    mu0 = sing.milnor_number_plane(h0, (Fraction(0), Fraction(0)))
     m0 = sing.multiplicity_at(h0, (Fraction(0), Fraction(0)))
     out["t0=0"] = {"point": ["0", "0"], "mu": mu0, "m": m0}
     ok = ok and mu0 == 3 and m0 == 2
@@ -423,7 +420,7 @@ def _milnor(ctx):
         h = sing.section_fiber(t0)
         for s in (root, -root):
             p = (Fraction(s), Fraction(0))
-            mu = sing.milnor_number_plane(h, p, seed=ctx.seed + s)
+            mu = sing.milnor_number_plane(h, p)
             m = sing.multiplicity_at(h, p)
             out[f"t0={t0},y={s}"] = {"mu": mu, "m": m}
             ok = ok and mu == 1 and m == 2
@@ -461,7 +458,7 @@ def _discriminant_multiplicity(ctx):
     out = {}
     ok = True
     for t0 in (0, 1, 4):
-        r = sing.discriminant_multiplicity_check(h, 1, t0, seed=ctx.seed + t0)
+        r = sing.discriminant_multiplicity_check(h, 1, t0)
         out[f"t0={t0}"] = r
         ok = ok and r["equal"] and r["sum_mult_delta"] == 4
     return ok, out
@@ -557,9 +554,9 @@ def _lojasiewicz(ctx):
 )
 def _hyperplane_sections(ctx):
     f2 = parse_poly("z*x - y^2 + x^3", ("x", "y", "z"))
-    generic = sing.hyperplane_section_milnor(f2, 1, 0, seed=ctx.seed)
-    on_curve = sing.hyperplane_section_milnor(f2, -1, 2, seed=ctx.seed + 1)
-    cusp = sing.hyperplane_section_milnor(f2, 0, 0, seed=ctx.seed + 2)
+    generic = sing.hyperplane_section_milnor(f2, 1, 0)
+    on_curve = sing.hyperplane_section_milnor(f2, -1, 2)
+    cusp = sing.hyperplane_section_milnor(f2, 0, 0)
     ok = generic == 1 and on_curve == 2 and cusp == 2
     return ok, {
         "mu_generic_(a,b)=(1,0)": generic,
@@ -577,7 +574,7 @@ def _hyperplane_sections(ctx):
 def _exceptional_tangents(ctx):
     f2 = parse_poly("z*x - y^2 + x^3", ("x", "y", "z"))
     rep = sing.exceptional_tangent_scan(
-        f2, seed=ctx.seed, dual_predicate=lambda a, b: b * b + 4 * a == 0
+        f2, dual_predicate=lambda a, b: b * b + 4 * a == 0
     )
     ok = rep.matches_dual is True and rep.min_mu == 1
     return ok, rep.to_json()

@@ -1,6 +1,6 @@
 """Command-line driver.
 
-    pentacheck verify all [--report PATH] [--truncation N] [--seed N]
+    pentacheck verify all [--report PATH] [--truncation N]
     pentacheck verify CHECK_ID [...same flags]
     pentacheck list
     pentacheck render --variant NAME --out PATH
@@ -17,13 +17,12 @@ import sys
 
 from . import __version__
 from .arrangement import build_arrangement
-from .checks import DEFAULT_SEED, RunContext, all_checks, get_check, run_check
+from .checks import RunContext, all_checks, get_check, run_check
 from .series import DEFAULT_TRUNCATION
-from .svg import render_svg
 
 
-def _report_json(seed: int, entries: list) -> str:
-    doc = {"version": __version__, "seed": seed, "entries": entries}
+def _report_json(entries: list) -> str:
+    doc = {"version": __version__, "entries": entries}
     return json.dumps(doc, indent=2, sort_keys=False) + "\n"
 
 
@@ -60,12 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_TRUNCATION,
         help=f"series truncation order (default {DEFAULT_TRUNCATION})",
     )
-    verify.add_argument(
-        "--seed",
-        type=int,
-        default=DEFAULT_SEED,
-        help="seed for the random linear coordinate changes",
-    )
 
     sub.add_parser("list", help="list registered check ids")
 
@@ -76,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_verify(args) -> int:
-    ctx = RunContext(seed=args.seed, truncation=args.truncation)
+    ctx = RunContext(truncation=args.truncation)
     if args.target == "all":
         checks = all_checks()
     else:
@@ -88,7 +81,7 @@ def cmd_verify(args) -> int:
     entries = [run_check(c, ctx) for c in checks]
     for e in entries:
         print(f"{e['status']:5}  {e['check_id']}")
-    text = _report_json(args.seed, entries)
+    text = _report_json(entries)
     if args.report:
         try:
             _write_report(args.report, text)
@@ -110,6 +103,8 @@ def cmd_list() -> int:
 
 
 def cmd_render(args) -> int:
+    from .svg import render_svg
+
     try:
         arr = build_arrangement(args.variant)
     except (KeyError, ValueError) as exc:

@@ -20,8 +20,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-Rational = Fraction
-
 # x^4 - 20 x^2 + 80, ascending coefficients
 MINPOLY_COEFFS = (Fraction(80), Fraction(0), Fraction(-20), Fraction(0), Fraction(1))
 
@@ -132,12 +130,6 @@ class AlgebraicNumber:
         is a root of the minimal polynomial.
         """
         return cls(0, -3, 0, Fraction(1, 4))
-
-    @classmethod
-    def from_coords(cls, coords: Sequence) -> "AlgebraicNumber":
-        if len(coords) != 4:
-            raise ValueError("need exactly 4 coordinates")
-        return cls(*coords)
 
     @property
     def coords(self) -> tuple:
@@ -449,9 +441,6 @@ class Interval:
 
     def __contains__(self, x) -> bool:
         return self.lo <= x <= self.hi
-
-    def intersects(self, other: "Interval") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
 
     def __add__(self, other):
         return Interval(self.lo + other.lo, self.hi + other.hi)

@@ -183,7 +183,7 @@ class Ideal:
         return f"Ideal({[str(g) for g in self.generators]})"
 
 
-def radical_membership(g: MultiPoly, ideal: Ideal, aux_var: str = "w_"):
+def radical_membership(g: MultiPoly, ideal: Ideal):
     """True iff g vanishes on V(ideal): 1 in <ideal, 1 - w*g>.
 
     Returns (verdict, certificate_basis); the certificate is the reduced
@@ -198,10 +198,10 @@ def radical_membership(g: MultiPoly, ideal: Ideal, aux_var: str = "w_"):
         base, _ = MultiPoly.merge_vars(base, h)
     base, g2 = MultiPoly.merge_vars(base, g)
     variables = base.vars
-    if aux_var in variables:
-        raise ValueError(f"auxiliary variable {aux_var!r} collides with registry")
-    ext = variables + (aux_var,)
-    w = MultiPoly.var(ext, aux_var)
+    if "w_" in variables:
+        raise ValueError("auxiliary variable 'w_' collides with registry")
+    ext = variables + ("w_",)
+    w = MultiPoly.var(ext, "w_")
     lifted = [h.in_vars(variables).in_vars(ext) for h in gens]
     lifted.append(MultiPoly.constant(ext, Fraction(1)) - w * g2.in_vars(ext))
     gb = buchberger(lifted)
@@ -209,14 +209,13 @@ def radical_membership(g: MultiPoly, ideal: Ideal, aux_var: str = "w_"):
     return is_unit, gb
 
 
-def same_radical(i1: Ideal, i2: Ideal, extra_on_first=()) -> bool:
+def same_radical(i1: Ideal, i2: Ideal) -> bool:
     """Do V(i1) and V(i2) coincide?  Checked by mutual radical membership."""
     for g in i2.generators:
         ok, _ = radical_membership(g, i1)
         if not ok:
             return False
-    gens1 = list(i1.generators) + list(extra_on_first)
-    for g in gens1:
+    for g in i1.generators:
         ok, _ = radical_membership(g, i2)
         if not ok:
             return False

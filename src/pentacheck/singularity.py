@@ -4,8 +4,8 @@ The central object is the surface f = z(zx - y^2) + zx^3 together with its
 deformation to the normal cone F = z(zx - y^2) + t*z*x^3.  Everything here
 is computed exactly: singular loci by radical membership, Milnor numbers
 (mu = 1 certified by a nondegenerate Hessian, degenerate critical points as
-resultant orders after random linear changes), discriminants as resultants,
-and gradient limits as leading coefficients of truncated series.
+resultant orders after a fixed sequence of linear changes), discriminants as
+resultants, and gradient limits as leading coefficients of truncated series.
 """
 
 from __future__ import annotations
@@ -26,6 +26,8 @@ from .series import (
 
 SPACE_VARS = ("x", "y", "z")
 FAMILY_VARS = ("x", "y", "z", "t")
+# changes in which the minimal resultant order must recur (milnor_number_plane)
+MILNOR_TRIALS = 3
 
 
 # -- the pinned example -------------------------------------------------
@@ -165,9 +167,8 @@ def scaling_identities(F: MultiPoly, d: int) -> bool:
 # -- singular loci ------------------------------------------------------
 
 
-def jacobian_ideal(f: MultiPoly, include_f: bool = True) -> Ideal:
-    gens = [f] if include_f else []
-    gens += [f.derivative(v) for v in f.vars]
+def jacobian_ideal(f: MultiPoly) -> Ideal:
+    gens = [f] + [f.derivative(v) for v in f.vars]
     return Ideal([g for g in gens if not g.is_zero()])
 
 
@@ -208,14 +209,17 @@ def multiplicity_at(h: MultiPoly, p) -> int:
     return _weighted_order(ht, ht.vars)
 
 
-def milnor_number_plane(h: MultiPoly, p, seed: int = 0, trials: int = 3) -> int:
+def milnor_number_plane(h: MultiPoly, p) -> int:
     """Local intersection multiplicity of the two partials of h at p.
 
     A critical point with nondegenerate Hessian has mu = 1, certified
     exactly by the Morse lemma.  Only a degenerate critical point is
-    computed as the order at u = 0 of Res_v of the partials after a random
-    invertible linear change of coordinates; that value must agree across
-    `trials` independent changes, otherwise the computation aborts.
+    computed as the order at u = 0 of Res_v of the partials after an
+    invertible linear change of coordinates; the minimum must recur in
+    MILNOR_TRIALS changes, otherwise the computation aborts.  The changes
+    always come from random.Random(0), so every call on equal inputs makes
+    the same changes.  A certified local-algebra computation is to replace
+    them (ROADMAP item 4).
     """
     if len(h.vars) != 2:
         raise ValueError("milnor_number_plane expects a polynomial in 2 variables")
@@ -236,17 +240,17 @@ def milnor_number_plane(h: MultiPoly, p, seed: int = 0, trials: int = 3) -> int:
     hyy = g2.terms.get((0, 1), 0)
     if hxx * hyy - hxy * hxy:
         return 1
-    rng = random.Random(seed)
+    rng = random.Random(0)
     # the resultant order can only over-count (a non-generic change drags
     # extra intersections over u = 0), so the certified value is the one the
-    # minimum attains in `trials` independent changes
+    # minimum attains in MILNOR_TRIALS changes
     values = []
-    for _ in range(4 * trials):
+    for _ in range(4 * MILNOR_TRIALS):
         v = _milnor_once(g1, g2, h.vars, rng)
         if v is None:
             continue  # degenerate change, discarded before counting
         values.append(v)
-        if values.count(min(values)) >= trials:
+        if values.count(min(values)) >= MILNOR_TRIALS:
             return min(values)
     raise ArithmeticError(
         f"Milnor number did not stabilize across random changes: {values}"
@@ -284,14 +288,14 @@ def _milnor_once(g1: MultiPoly, g2: MultiPoly, vs, rng) -> int:
     return _weighted_order(r, r.vars)
 
 
-def hyperplane_section_milnor(f: MultiPoly, a, b, seed: int = 0) -> int:
+def hyperplane_section_milnor(f: MultiPoly, a, b) -> int:
     """Milnor number at the origin of f cut by the plane z = a*x + b*y."""
     xy = ("x", "y")
     plane = MultiPoly.var(xy, "x") * Fraction(a) + MultiPoly.var(xy, "y") * Fraction(b)
     g = f.substitute({"z": plane}).in_vars(xy)
     if g.is_zero():
         raise ValueError("the plane is contained in the surface")
-    return milnor_number_plane(g, (Fraction(0), Fraction(0)), seed=seed)
+    return milnor_number_plane(g, (Fraction(0), Fraction(0)))
 
 
 @dataclass(frozen=True)
@@ -313,7 +317,7 @@ class TangentScanReport:
 
 
 def exceptional_tangent_scan(
-    f: MultiPoly, samples=None, seed: int = 0, dual_predicate=None
+    f: MultiPoly, samples=None, dual_predicate=None
 ) -> TangentScanReport:
     """Milnor numbers of plane sections z = a*x + b*y over a grid of (a, b).
 
@@ -324,8 +328,8 @@ def exceptional_tangent_scan(
         grid = [Fraction(k) for k in range(-5, 6)]
         samples = [(a, b) for a in grid for b in grid]
     entries = []
-    for i, (a, b) in enumerate(samples):
-        mu = hyperplane_section_milnor(f, a, b, seed=seed + i)
+    for a, b in samples:
+        mu = hyperplane_section_milnor(f, a, b)
         entries.append((Fraction(a), Fraction(b), mu))
     min_mu = min(mu for _, _, mu in entries)
     jumps = tuple((a, b) for a, b, mu in entries if mu > min_mu)
@@ -393,7 +397,7 @@ def equal_up_to_unit_germ(p: MultiPoly, q: MultiPoly):
     return w
 
 
-def discriminant_multiplicity_check(h: MultiPoly, b, t0, seed: int = 0) -> dict:
+def discriminant_multiplicity_check(h: MultiPoly, b, t0) -> dict:
     """Both sides of mult Delta = sum_i (mu_i + m_i - 1) on the fiber at t0.
 
     The left side sums root multiplicities of the fiber discriminant at the
@@ -413,8 +417,8 @@ def discriminant_multiplicity_check(h: MultiPoly, b, t0, seed: int = 0) -> dict:
         shifted = delta_t0.translate({"u": u0})
         left += _weighted_order(shifted, ("u",))
     right = 0
-    for i, pt in enumerate(points):
-        mu = milnor_number_plane(fiber, pt, seed=seed + i)
+    for pt in points:
+        mu = milnor_number_plane(fiber, pt)
         m = multiplicity_at(fiber, pt)
         right += mu + m - 1
     return {

@@ -15,6 +15,7 @@ from pentacheck.arrangement import (
     galois_invariance,
     galois_line_action_permutes,
     incidence_automorphisms,
+    intersect,
     line_weight_profile,
 )
 from pentacheck.field import galois_group, minimal_polynomial
@@ -123,6 +124,28 @@ def test_cross_ratio_agrees_between_realizations():
     lam_a = cross_ratio([a.line(l) for l in ("AI", "BI", "CI", "DI")])
     lam_c = cross_ratio([c.line(l) for l in ("AI", "BI", "CI", "DI")])
     assert minimal_polynomial(lam_a) == minimal_polynomial(lam_c)
+
+
+def direction_cross_ratio(lines):
+    """Oracle: cross-ratio of the directions (v, -u) of lines uX + vY + wZ = 0."""
+    d = [(l.coords[1], -l.coords[0]) for l in lines]
+    det = lambda i, j: d[i][0] * d[j][1] - d[i][1] * d[j][0]
+    return det(0, 2) * det(1, 3) / (det(0, 3) * det(1, 2))
+
+
+@pytest.mark.parametrize(
+    "variant, labels",
+    [
+        ("APRIME", ("AI", "BI", "CI", "DI")),
+        ("CPRIME", ("AI", "BI", "CI", "DI")),
+        ("C", ("EI", "FI", "HI", "GI")),
+    ],
+)
+def test_cross_ratio_matches_direction_oracle(variant, labels):
+    arr = build_arrangement(variant)
+    lines = [arr.line(l) for l in labels]
+    assert intersect(lines[0], lines[1]).is_affine  # the oracle needs this
+    assert not (cross_ratio(lines) - direction_cross_ratio(lines))
 
 
 def test_cross_ratio_minimal_polynomial_matches_sympy():

@@ -1,12 +1,18 @@
 """Tests for the command-line driver and the SVG renderer."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from pentacheck.arrangement import build_arrangement
 from pentacheck.cli import main
 from pentacheck.svg import render_svg
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def test_list_prints_sorted_check_ids(capsys):
@@ -32,7 +38,7 @@ def test_verify_writes_report(tmp_path, capsys):
     code = main(["verify", "field.galois-group", "--report", str(report)])
     assert code == 0
     doc = json.loads(report.read_text())
-    assert set(doc) == {"version", "seed", "entries"}
+    assert set(doc) == {"version", "entries"}
     (entry,) = doc["entries"]
     assert entry["status"] == "pass"
     assert set(entry) == {"check_id", "status", "claim", "witnesses", "duration_ms"}
@@ -41,9 +47,32 @@ def test_verify_writes_report(tmp_path, capsys):
 def test_verify_report_determinism(tmp_path, capsys):
     r1 = tmp_path / "r1.json"
     r2 = tmp_path / "r2.json"
-    main(["verify", "counterexample.milnor", "--report", str(r1), "--seed", "11"])
-    main(["verify", "counterexample.milnor", "--report", str(r2), "--seed", "11"])
+    main(["verify", "counterexample.milnor", "--report", str(r1)])
+    main(["verify", "counterexample.milnor", "--report", str(r2)])
     assert r1.read_bytes() == r2.read_bytes()
+
+
+def test_seed_flag_is_retired(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "all", "--seed", "7"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_verify_does_not_import_svg():
+    code = (
+        "import sys\n"
+        "from pentacheck import cli\n"
+        "assert cli.main(['verify', 'field.galois-group']) == 0\n"
+        "assert 'pentacheck.svg' not in sys.modules\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_truncation_four_breaks_gradient_limits(capsys):

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pentacheck.field import AlgebraicNumber
@@ -126,7 +126,7 @@ def dense_shift(a, k):
         return ([Fraction(0)] * k + a)[: len(a)]
     if any(a[:-k]):
         raise ValueError("low-order terms")
-    return a[-k:] + [Fraction(0)] * (-k)
+    return (a[-k:] + [Fraction(0)] * (-k))[: len(a)]
 
 
 def dense_invert(a):
@@ -205,6 +205,7 @@ def test_arithmetic_matches_dense_oracle(pair, n):
 
 @settings(max_examples=60, deadline=None)
 @given(series_pairs(), st.integers(-4, 4))
+@example((0, [Fraction(0)], [Fraction(0)]), -2)  # shift by more than T + 1
 def test_shift_matches_dense_oracle(pair, k):
     _, a, _ = pair
     try:
